@@ -15,6 +15,7 @@
 
 #include "common/logging.hh"
 #include "common/serialize.hh"
+#include "common/stat_fields.hh"
 #include "common/types.hh"
 
 namespace ff
@@ -30,6 +31,14 @@ struct PredictorStats
 
     void reset() { *this = PredictorStats(); }
 };
+
+template <StatsOf<PredictorStats> S, typename F>
+void
+forEachStat(S &s, F &&f)
+{
+    f("lookups", s.lookups);
+    f("mispredicts", s.mispredicts);
+}
 
 /**
  * Token returned at predict time and surrendered at resolve time.
@@ -113,20 +122,6 @@ class DirectionPredictor
     }
 
   protected:
-    void
-    saveStats(serial::Writer &w) const
-    {
-        w.u64(_stats.lookups);
-        w.u64(_stats.mispredicts);
-    }
-
-    void
-    restoreStats(serial::Reader &r)
-    {
-        _stats.lookups = r.u64();
-        _stats.mispredicts = r.u64();
-    }
-
     PredictorStats _stats;
 };
 

@@ -147,23 +147,6 @@ Histogram::Histogram(std::int64_t min, std::int64_t max,
     ff_panic_if(num_buckets == 0, "zero histogram buckets");
 }
 
-void
-Histogram::sample(std::int64_t v)
-{
-    ++_samples;
-    _sum += v;
-    if (v < _min) {
-        ++_underflow;
-    } else if (v >= _max) {
-        ++_overflow;
-    } else {
-        const std::size_t idx = static_cast<std::size_t>(
-            (v - _min) * static_cast<std::int64_t>(_buckets.size()) /
-            (_max - _min));
-        ++_buckets[idx];
-    }
-}
-
 double
 Histogram::mean() const
 {
@@ -200,6 +183,36 @@ Histogram::reset()
     _sum = 0;
     for (auto &b : _buckets)
         b = 0;
+}
+
+void
+Histogram::save(serial::Writer &w) const
+{
+    w.i64(_min);
+    w.i64(_max);
+    w.u64(_buckets.size());
+    for (const std::uint64_t b : _buckets)
+        w.u64(b);
+    w.u64(_samples);
+    w.u64(_underflow);
+    w.u64(_overflow);
+    w.i64(_sum);
+}
+
+void
+Histogram::restore(serial::Reader &r)
+{
+    if (r.i64() != _min || r.i64() != _max ||
+        r.seq(8) != _buckets.size()) {
+        r.fail();
+        return;
+    }
+    for (std::uint64_t &b : _buckets)
+        b = r.u64();
+    _samples = r.u64();
+    _underflow = r.u64();
+    _overflow = r.u64();
+    _sum = r.i64();
 }
 
 // ---- TimeSeries ----------------------------------------------------

@@ -20,6 +20,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/serialize.hh"
 #include "common/types.hh"
 
 namespace ff
@@ -96,9 +97,8 @@ class Counter
 
 /**
  * Fixed-bucket histogram over [min, max) with uniform bucket width;
- * out-of-range samples land in underflow/overflow. Mirrors
- * stats::Distribution but lives below it so the metrics layer stays
- * free of the logging dependency and exports natively to JSON.
+ * out-of-range samples land in underflow/overflow. sample() is inline
+ * because the two-pass core samples its CQ depth on every tick.
  */
 class Histogram
 {
@@ -106,7 +106,22 @@ class Histogram
     Histogram(std::int64_t min, std::int64_t max,
               std::size_t num_buckets);
 
-    void sample(std::int64_t v);
+    void
+    sample(std::int64_t v)
+    {
+        ++_samples;
+        _sum += v;
+        if (v < _min) {
+            ++_underflow;
+        } else if (v >= _max) {
+            ++_overflow;
+        } else {
+            const std::size_t idx = static_cast<std::size_t>(
+                (v - _min) * static_cast<std::int64_t>(_buckets.size()) /
+                (_max - _min));
+            ++_buckets[idx];
+        }
+    }
 
     std::int64_t min() const { return _min; }
     std::int64_t max() const { return _max; }
@@ -119,6 +134,11 @@ class Histogram
     std::int64_t quantile(double q) const;
 
     void reset();
+
+    /** Snapshot hook: serializes range, buckets and counters. */
+    void save(serial::Writer &w) const;
+    /** Inverse of save(); flags mismatched geometry via r.fail(). */
+    void restore(serial::Reader &r);
 
   private:
     std::int64_t _min;

@@ -62,7 +62,12 @@ ThreadPool::submit(std::function<void()> task)
         std::lock_guard<std::mutex> lk(_queues[home]->mu);
         _queues[home]->q.push_back(std::move(t));
     }
-    _queued.fetch_add(1, std::memory_order_release);
+    // Publish under the sleep lock: a worker that has just found the
+    // predicate false cannot then block without seeing this wakeup.
+    {
+        std::lock_guard<std::mutex> lk(_sleepMu);
+        _queued.fetch_add(1, std::memory_order_release);
+    }
     _wake.notify_one();
     return fut;
 }

@@ -2,7 +2,6 @@
 
 #include <vector>
 
-#include "common/stats.hh"
 #include "common/trace.hh"
 #include "cpu/exec.hh"
 #include "cpu/issue_check.hh"
@@ -141,14 +140,9 @@ BaselineCpu::tryIssue(Cycle now, RunResult &res)
 std::string
 BaselineCpu::statsReport() const
 {
-    stats::StatGroup g("baseline");
-    g.addScalar("loads_issued") += _stats.loadsIssued;
-    g.addScalar("stores_issued") += _stats.storesIssued;
-    g.addScalar("branches_retired") += _stats.branchesRetired;
-    g.addScalar("mispredicts") += _stats.mispredicts;
     return commonStatsReport(_acct, _pred->stats(),
                              _hier.accessStats()) +
-           g.dump();
+           renderStats("baseline", _stats);
 }
 
 void
@@ -156,10 +150,7 @@ BaselineCpu::saveModelState(serial::Writer &w) const
 {
     _ms.regs.save(w);
     _ms.sb.save(w);
-    w.u64(_stats.loadsIssued);
-    w.u64(_stats.storesIssued);
-    w.u64(_stats.branchesRetired);
-    w.u64(_stats.mispredicts);
+    saveStats(w, _stats);
 }
 
 void
@@ -167,10 +158,7 @@ BaselineCpu::restoreModelState(serial::Reader &r)
 {
     _ms.regs.restore(r);
     _ms.sb.restore(r);
-    _stats.loadsIssued = r.u64();
-    _stats.storesIssued = r.u64();
-    _stats.branchesRetired = r.u64();
-    _stats.mispredicts = r.u64();
+    restoreStats(r, _stats);
 }
 
 } // namespace cpu

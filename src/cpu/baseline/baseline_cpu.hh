@@ -11,6 +11,7 @@
 #ifndef FF_CPU_BASELINE_BASELINE_CPU_HH
 #define FF_CPU_BASELINE_BASELINE_CPU_HH
 
+#include "common/stat_fields.hh"
 #include "cpu/core/core_base.hh"
 #include "cpu/scoreboard.hh"
 
@@ -29,6 +30,16 @@ struct BaselineStats
 
     void reset() { *this = BaselineStats(); }
 };
+
+template <StatsOf<BaselineStats> S, typename F>
+void
+forEachStat(S &s, F &&f)
+{
+    f("loads_issued", s.loadsIssued);
+    f("stores_issued", s.storesIssued);
+    f("branches_retired", s.branchesRetired);
+    f("mispredicts", s.mispredicts);
+}
 
 /** In-order, stall-on-use EPIC pipeline. */
 class BaselineCpu : public CoreBase

@@ -34,8 +34,7 @@ CoreBase::saveState(serial::Writer &w) const
     w.u64(_res.cycles);
     w.u64(_res.instsRetired);
     w.u64(_res.groupsRetired);
-    for (const std::uint64_t c : _acct.counts)
-        w.u64(c);
+    _acct.save(w);
 
     w.section(serial::tag("SMEM"));
     _mem.save(w);
@@ -61,8 +60,7 @@ CoreBase::restoreState(serial::Reader &r)
     _res.cycles = r.u64();
     _res.instsRetired = r.u64();
     _res.groupsRetired = r.u64();
-    for (std::uint64_t &c : _acct.counts)
-        c = r.u64();
+    _acct.restore(r);
 
     if (!r.section(serial::tag("SMEM")))
         return;

@@ -34,5 +34,19 @@ CycleAccounting::render() const
     return oss.str();
 }
 
+void
+CycleAccounting::save(serial::Writer &w) const
+{
+    for (const std::uint64_t c : counts)
+        w.u64(c);
+}
+
+void
+CycleAccounting::restore(serial::Reader &r)
+{
+    for (std::uint64_t &c : counts)
+        c = r.u64();
+}
+
 } // namespace cpu
 } // namespace ff

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/serialize.hh"
 #include "common/types.hh"
 
 namespace ff
@@ -63,6 +64,10 @@ struct CycleAccounting
     }
 
     void reset() { counts = {}; }
+
+    /** Snapshot and result-cache encoding, one u64 per class. */
+    void save(serial::Writer &w) const;
+    void restore(serial::Reader &r);
 
     /** One-line render for reports. */
     std::string render() const;

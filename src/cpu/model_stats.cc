@@ -1,5 +1,7 @@
 #include "cpu/model_stats.hh"
 
+#include <string>
+
 namespace ff
 {
 namespace cpu
@@ -18,6 +20,20 @@ deferReasonName(DeferReason r)
       case DeferReason::kNoFunctionalUnit: return "no_functional_unit";
     }
     return "?";
+}
+
+std::string_view
+deferredStatName(unsigned r)
+{
+    static const std::array<std::string, kNumDeferReasons> names = [] {
+        std::array<std::string, kNumDeferReasons> n;
+        for (unsigned i = 1; i < kNumDeferReasons; ++i) {
+            n[i] = std::string("deferred.") +
+                   deferReasonName(static_cast<DeferReason>(i));
+        }
+        return n;
+    }();
+    return names[r];
 }
 
 } // namespace cpu

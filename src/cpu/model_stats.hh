@@ -11,7 +11,9 @@
 
 #include <array>
 #include <cstdint>
+#include <string_view>
 
+#include "common/stat_fields.hh"
 #include "memory/alat.hh"
 
 namespace ff
@@ -39,8 +41,6 @@ enum class DeferReason : std::uint8_t
                            ///< partial replication)
 };
 inline constexpr unsigned kNumDeferReasons = 7;
-/** Alias kept for the histogram declaration below. */
-inline constexpr unsigned kNumDeferReasonsStats = kNumDeferReasons;
 
 /**
  * Stable snake_case name of @p r, used by the statsReport dump, the
@@ -49,6 +49,13 @@ inline constexpr unsigned kNumDeferReasonsStats = kNumDeferReasons;
  */
 const char *deferReasonName(DeferReason r);
 
+/**
+ * Report name "deferred.<reason>" of TwoPassStats::deferredByReason
+ * slot @p r. Empty for kNone: nothing is deferred for no reason, so
+ * that slot is encoded but never reported.
+ */
+std::string_view deferredStatName(unsigned r);
+
 /** Counters reported by the two-pass experiments. */
 struct TwoPassStats
 {
@@ -56,7 +63,7 @@ struct TwoPassStats
     std::uint64_t dispatched = 0;     ///< instructions entering the CQ
     std::uint64_t preExecuted = 0;    ///< completed in the A-pipe
     std::uint64_t deferred = 0;       ///< suppressed to the B-pipe
-    std::array<std::uint64_t, kNumDeferReasonsStats> deferredByReason{};
+    std::array<std::uint64_t, kNumDeferReasons> deferredByReason{};
 
     // Memory behaviour.
     std::uint64_t loadsInA = 0;
@@ -87,6 +94,35 @@ struct TwoPassStats
     void reset() { *this = TwoPassStats(); }
 };
 
+template <StatsOf<TwoPassStats> S, typename F>
+void
+forEachStat(S &s, F &&f)
+{
+    f("dispatched", s.dispatched);
+    f("pre_executed", s.preExecuted);
+    f("deferred", s.deferred);
+    for (unsigned r = 0; r < kNumDeferReasons; ++r)
+        f(deferredStatName(r), s.deferredByReason[r]);
+    f("loads_in_a", s.loadsInA);
+    f("loads_in_b", s.loadsInB);
+    f("stores_in_a", s.storesInA);
+    f("stores_in_b", s.storesInB);
+    f("loads_past_deferred_store", s.loadsPastDeferredStore);
+    f("store_conflict_flushes", s.storeConflictFlushes);
+    f("store_forwardings", s.storeForwardings);
+    f("branches_resolved_a", s.branchesResolvedInA);
+    f("branches_resolved_b", s.branchesResolvedInB);
+    f("adet_mispredicts", s.aDetMispredicts);
+    f("bdet_mispredicts", s.bDetMispredicts);
+    f("a_stall_cq_full", s.aStallCqFull);
+    f("a_stall_anticipable", s.aStallAnticipable);
+    f("a_stall_throttled", s.aStallThrottled);
+    f("regrouped_groups", s.regroupedGroups);
+    f("feedback_applied", s.feedbackApplied);
+    f("feedback_dropped", s.feedbackDropped);
+    f("registers_repaired", s.registersRepaired);
+}
+
 /** Run-ahead-specific counters. */
 struct RunaheadStats
 {
@@ -98,6 +134,17 @@ struct RunaheadStats
 
     void reset() { *this = RunaheadStats(); }
 };
+
+template <StatsOf<RunaheadStats> S, typename F>
+void
+forEachStat(S &s, F &&f)
+{
+    f("episodes", s.episodes);
+    f("runahead_cycles", s.runaheadCycles);
+    f("runahead_loads", s.runaheadLoads);
+    f("runahead_insts", s.runaheadInsts);
+    f("inv_results", s.invResults);
+}
 
 /**
  * Everything a model can hand the harness beyond the common

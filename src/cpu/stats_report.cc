@@ -1,7 +1,5 @@
 #include "cpu/stats_report.hh"
 
-#include "common/stats.hh"
-
 namespace ff
 {
 namespace cpu
@@ -12,18 +10,13 @@ commonStatsReport(const CycleAccounting &acct,
                   const branch::PredictorStats &branches,
                   const memory::AccessStats &accesses)
 {
-    stats::StatGroup cyc("cycles");
-    for (unsigned i = 0; i < kNumCycleClasses; ++i) {
-        cyc.addScalar(cycleClassName(static_cast<CycleClass>(i))) +=
-            acct.counts[i];
-    }
-    cyc.addScalar("total") += acct.total();
+    StatLines cyc;
+    for (unsigned i = 0; i < kNumCycleClasses; ++i)
+        cyc.emplace_back(cycleClassName(static_cast<CycleClass>(i)),
+                         acct.counts[i]);
+    cyc.emplace_back("total", acct.total());
 
-    stats::StatGroup br("branch");
-    br.addScalar("lookups") += branches.lookups;
-    br.addScalar("mispredicts") += branches.mispredicts;
-
-    stats::StatGroup mem("mem");
+    StatLines mem;
     static const char *kWho[] = {"base", "apipe", "bpipe", "runahead"};
     for (unsigned w = 0; w < memory::kNumInitiators; ++w) {
         for (unsigned l = 0; l < memory::kNumMemLevels; ++l) {
@@ -34,12 +27,14 @@ commonStatsReport(const CycleAccounting &acct,
                 std::string(kWho[w]) + "." +
                 memory::memLevelName(
                     static_cast<memory::MemLevel>(l));
-            mem.addScalar(base + ".accesses") += c;
-            mem.addScalar(base + ".cycles") +=
-                accesses.weightedCycles[w][l];
+            mem.emplace_back(base + ".accesses", c);
+            mem.emplace_back(base + ".cycles",
+                             accesses.weightedCycles[w][l]);
         }
     }
-    return cyc.dump() + br.dump() + mem.dump();
+    return renderStatLines("cycles", std::move(cyc)) +
+           renderStats("branch", branches) +
+           renderStatLines("mem", std::move(mem));
 }
 
 } // namespace cpu

@@ -1,7 +1,7 @@
 /**
  * @file
  * Shared rendering of CPU-model statistics into gem5-style
- * "group.stat value" dumps via the stats::StatGroup registry.
+ * "group.stat value" dumps (common/stat_fields.hh).
  */
 
 #ifndef FF_CPU_STATS_REPORT_HH
@@ -10,6 +10,7 @@
 #include <string>
 
 #include "branch/gshare.hh"
+#include "common/stat_fields.hh"
 #include "cpu/cycle_classes.hh"
 #include "memory/hierarchy.hh"
 

@@ -19,7 +19,7 @@
 #ifndef FF_CPU_TWOPASS_TWOPASS_CPU_HH
 #define FF_CPU_TWOPASS_TWOPASS_CPU_HH
 
-#include "common/stats.hh"
+#include "common/metrics.hh"
 #include "cpu/core/core_base.hh"
 #include "cpu/scoreboard.hh"
 #include "cpu/twopass/apipe.hh"
@@ -110,7 +110,7 @@ class TwoPassCpu : public CoreBase
     BPipe _bpipe;
 
     /** Per-cycle coupling-queue occupancy (A-pipe lead histogram). */
-    stats::Distribution _cqDepth{0, 257, 16};
+    metrics::Histogram _cqDepth{0, 257, 16};
 };
 
 } // namespace cpu

@@ -114,11 +114,7 @@ Alat::save(serial::Writer &w) const
     for (const DynId id : _fifo)
         w.u64(id);
 
-    w.u64(_stats.allocations);
-    w.u64(_stats.storeInvalidations);
-    w.u64(_stats.capacityEvictions);
-    w.u64(_stats.checksPassed);
-    w.u64(_stats.checksFailed);
+    saveStats(w, _stats);
 }
 
 void
@@ -141,11 +137,7 @@ Alat::restore(serial::Reader &r)
     const std::size_t fifo = r.seq(8);
     for (std::size_t i = 0; i < fifo; ++i)
         _fifo.push_back(r.u64());
-    _stats.allocations = r.u64();
-    _stats.storeInvalidations = r.u64();
-    _stats.capacityEvictions = r.u64();
-    _stats.checksPassed = r.u64();
-    _stats.checksFailed = r.u64();
+    restoreStats(r, _stats);
 }
 
 } // namespace memory

@@ -21,6 +21,7 @@
 #include <unordered_map>
 
 #include "common/serialize.hh"
+#include "common/stat_fields.hh"
 #include "common/types.hh"
 
 namespace ff
@@ -39,6 +40,17 @@ struct AlatStats
 
     void reset() { *this = AlatStats(); }
 };
+
+template <StatsOf<AlatStats> S, typename F>
+void
+forEachStat(S &s, F &&f)
+{
+    f("allocations", s.allocations);
+    f("store_invalidations", s.storeInvalidations);
+    f("capacity_evictions", s.capacityEvictions);
+    f("checks_passed", s.checksPassed);
+    f("checks_failed", s.checksFailed);
+}
 
 /** DynID-indexed load-tracking table. */
 class Alat

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/serialize.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace ff

@@ -218,30 +218,30 @@ Hierarchy::access(AccessKind kind, Initiator who, Addr addr, Cycle now)
     return r;
 }
 
+void
+AccessStats::save(serial::Writer &w) const
+{
+    for (unsigned i = 0; i < kNumInitiators; ++i) {
+        for (unsigned l = 0; l < kNumMemLevels; ++l) {
+            w.u64(counts[i][l]);
+            w.u64(weightedCycles[i][l]);
+        }
+    }
+}
+
+void
+AccessStats::restore(serial::Reader &r)
+{
+    for (unsigned i = 0; i < kNumInitiators; ++i) {
+        for (unsigned l = 0; l < kNumMemLevels; ++l) {
+            counts[i][l] = r.u64();
+            weightedCycles[i][l] = r.u64();
+        }
+    }
+}
+
 namespace
 {
-
-void
-saveAccessStats(serial::Writer &w, const AccessStats &s)
-{
-    for (unsigned i = 0; i < kNumInitiators; ++i) {
-        for (unsigned l = 0; l < kNumMemLevels; ++l) {
-            w.u64(s.counts[i][l]);
-            w.u64(s.weightedCycles[i][l]);
-        }
-    }
-}
-
-void
-restoreAccessStats(serial::Reader &r, AccessStats &s)
-{
-    for (unsigned i = 0; i < kNumInitiators; ++i) {
-        for (unsigned l = 0; l < kNumMemLevels; ++l) {
-            s.counts[i][l] = r.u64();
-            s.weightedCycles[i][l] = r.u64();
-        }
-    }
-}
 
 void
 saveInFlight(serial::Writer &w,
@@ -297,8 +297,8 @@ Hierarchy::save(serial::Writer &w) const
     for (const Cycle c : _outstandingLoads)
         w.u64(c);
 
-    saveAccessStats(w, _stats);
-    saveAccessStats(w, _instStats);
+    _stats.save(w);
+    _instStats.save(w);
     w.u64(_prefetches);
 }
 
@@ -334,8 +334,8 @@ Hierarchy::restore(serial::Reader &r)
     for (std::size_t i = 0; i < loads; ++i)
         _outstandingLoads.push_back(r.u64());
 
-    restoreAccessStats(r, _stats);
-    restoreAccessStats(r, _instStats);
+    _stats.restore(r);
+    _instStats.restore(r);
     _prefetches = r.u64();
 }
 

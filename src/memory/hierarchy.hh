@@ -103,6 +103,10 @@ struct AccessStats
     }
 
     void reset() { counts = {}; weightedCycles = {}; }
+
+    /** Snapshot and result-cache encoding, (count, cycles) pairs. */
+    void save(serial::Writer &w) const;
+    void restore(serial::Reader &r);
 };
 
 /**

@@ -14,6 +14,7 @@
 #include "common/engine_trace.hh"
 #include "common/hash.hh"
 #include "common/serialize.hh"
+#include "common/stat_fields.hh"
 #include "common/trace.hh"
 #include "sim/snapshot.hh"
 
@@ -59,95 +60,13 @@ envOr(const char *name, const std::string &fallback)
     return v != nullptr ? std::string(v) : fallback;
 }
 
+/** @p ext is ".ffr" for outcomes, ".ffv" for verify verdicts. */
 fs::path
-entryPath(const std::string &dir, const std::string &key)
+entryPath(const std::string &dir, const std::string &key,
+          const char *ext)
 {
     // Two-level fan-out keeps directories small under big sweeps.
-    return fs::path(dir) / key.substr(0, 2) / (key.substr(2) + ".ffr");
-}
-
-fs::path
-verifyEntryPath(const std::string &dir, const std::string &key)
-{
-    return fs::path(dir) / key.substr(0, 2) / (key.substr(2) + ".ffv");
-}
-
-void
-saveAccessStats(serial::Writer &w, const memory::AccessStats &s)
-{
-    for (const auto &row : s.counts)
-        for (const std::uint64_t c : row)
-            w.u64(c);
-    for (const auto &row : s.weightedCycles)
-        for (const std::uint64_t c : row)
-            w.u64(c);
-}
-
-void
-restoreAccessStats(serial::Reader &r, memory::AccessStats &s)
-{
-    for (auto &row : s.counts)
-        for (std::uint64_t &c : row)
-            c = r.u64();
-    for (auto &row : s.weightedCycles)
-        for (std::uint64_t &c : row)
-            c = r.u64();
-}
-
-void
-saveTwoPassStats(serial::Writer &w, const cpu::TwoPassStats &s)
-{
-    w.u64(s.dispatched);
-    w.u64(s.preExecuted);
-    w.u64(s.deferred);
-    for (const std::uint64_t c : s.deferredByReason)
-        w.u64(c);
-    w.u64(s.loadsInA);
-    w.u64(s.loadsInB);
-    w.u64(s.storesInA);
-    w.u64(s.storesInB);
-    w.u64(s.loadsPastDeferredStore);
-    w.u64(s.storeConflictFlushes);
-    w.u64(s.storeForwardings);
-    w.u64(s.branchesResolvedInA);
-    w.u64(s.branchesResolvedInB);
-    w.u64(s.aDetMispredicts);
-    w.u64(s.bDetMispredicts);
-    w.u64(s.aStallCqFull);
-    w.u64(s.aStallAnticipable);
-    w.u64(s.aStallThrottled);
-    w.u64(s.regroupedGroups);
-    w.u64(s.feedbackApplied);
-    w.u64(s.feedbackDropped);
-    w.u64(s.registersRepaired);
-}
-
-void
-restoreTwoPassStats(serial::Reader &r, cpu::TwoPassStats &s)
-{
-    s.dispatched = r.u64();
-    s.preExecuted = r.u64();
-    s.deferred = r.u64();
-    for (std::uint64_t &c : s.deferredByReason)
-        c = r.u64();
-    s.loadsInA = r.u64();
-    s.loadsInB = r.u64();
-    s.storesInA = r.u64();
-    s.storesInB = r.u64();
-    s.loadsPastDeferredStore = r.u64();
-    s.storeConflictFlushes = r.u64();
-    s.storeForwardings = r.u64();
-    s.branchesResolvedInA = r.u64();
-    s.branchesResolvedInB = r.u64();
-    s.aDetMispredicts = r.u64();
-    s.bDetMispredicts = r.u64();
-    s.aStallCqFull = r.u64();
-    s.aStallAnticipable = r.u64();
-    s.aStallThrottled = r.u64();
-    s.regroupedGroups = r.u64();
-    s.feedbackApplied = r.u64();
-    s.feedbackDropped = r.u64();
-    s.registersRepaired = r.u64();
+    return fs::path(dir) / key.substr(0, 2) / (key.substr(2) + ext);
 }
 
 void
@@ -158,22 +77,12 @@ encodeOutcome(serial::Writer &w, const SimOutcome &o)
     w.u64(o.run.cycles);
     w.u64(o.run.instsRetired);
     w.u64(o.run.groupsRetired);
-    for (const std::uint64_t c : o.cycles.counts)
-        w.u64(c);
-    saveAccessStats(w, o.accesses);
-    w.u64(o.branches.lookups);
-    w.u64(o.branches.mispredicts);
-    saveTwoPassStats(w, o.twopass);
-    w.u64(o.alat.allocations);
-    w.u64(o.alat.storeInvalidations);
-    w.u64(o.alat.capacityEvictions);
-    w.u64(o.alat.checksPassed);
-    w.u64(o.alat.checksFailed);
-    w.u64(o.runahead.episodes);
-    w.u64(o.runahead.runaheadCycles);
-    w.u64(o.runahead.runaheadLoads);
-    w.u64(o.runahead.runaheadInsts);
-    w.u64(o.runahead.invResults);
+    o.cycles.save(w);
+    o.accesses.save(w);
+    saveStats(w, o.branches);
+    saveStats(w, o.twopass);
+    saveStats(w, o.alat);
+    saveStats(w, o.runahead);
     w.u64(o.regFingerprint);
     w.u64(o.memFingerprint);
     w.u64(o.checksum);
@@ -212,22 +121,12 @@ decodeOutcome(serial::Reader &r, SimOutcome &o)
     o.run.cycles = r.u64();
     o.run.instsRetired = r.u64();
     o.run.groupsRetired = r.u64();
-    for (std::uint64_t &c : o.cycles.counts)
-        c = r.u64();
-    restoreAccessStats(r, o.accesses);
-    o.branches.lookups = r.u64();
-    o.branches.mispredicts = r.u64();
-    restoreTwoPassStats(r, o.twopass);
-    o.alat.allocations = r.u64();
-    o.alat.storeInvalidations = r.u64();
-    o.alat.capacityEvictions = r.u64();
-    o.alat.checksPassed = r.u64();
-    o.alat.checksFailed = r.u64();
-    o.runahead.episodes = r.u64();
-    o.runahead.runaheadCycles = r.u64();
-    o.runahead.runaheadLoads = r.u64();
-    o.runahead.runaheadInsts = r.u64();
-    o.runahead.invResults = r.u64();
+    o.cycles.restore(r);
+    o.accesses.restore(r);
+    restoreStats(r, o.branches);
+    restoreStats(r, o.twopass);
+    restoreStats(r, o.alat);
+    restoreStats(r, o.runahead);
     o.regFingerprint = r.u64();
     o.memFingerprint = r.u64();
     o.checksum = r.u64();
@@ -255,6 +154,85 @@ decodeOutcome(serial::Reader &r, SimOutcome &o)
         o.sampled = std::move(e);
     }
     return r.ok();
+}
+
+/** What readEntry() found. */
+enum class EntryRead
+{
+    kAbsent,  ///< no file: a plain miss
+    kCorrupt, ///< unreadable, stale or foreign: deleted
+    kOk,
+};
+
+/**
+ * Reads the entry at @p path: checks its magic, version and key
+ * header, then hands the rest to @p body, which must consume it all.
+ * A corrupt or stale entry is deleted so the refreshed store after
+ * the miss replaces a known-bad file.
+ */
+template <typename Body>
+EntryRead
+readEntry(const fs::path &path, std::uint32_t magic,
+          const std::string &key, Body &&body)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        return EntryRead::kAbsent;
+    const std::vector<std::uint8_t> bytes(
+        (std::istreambuf_iterator<char>(in)),
+        std::istreambuf_iterator<char>());
+    serial::Reader r(bytes);
+    if (r.u32() != magic || r.u32() != kResultCacheVersion ||
+        r.str() != key || !body(r) || !r.atEnd()) {
+        std::error_code ec;
+        fs::remove(path, ec);
+        return EntryRead::kCorrupt;
+    }
+    return EntryRead::kOk;
+}
+
+/**
+ * Writes the magic, version and key header plus @p body to @p path
+ * atomically: a private temp file renamed over the entry. Returns
+ * false on any I/O failure, leaving no temp file behind.
+ */
+template <typename Body>
+bool
+writeEntry(const fs::path &path, std::uint32_t magic,
+           const std::string &key, Body &&body)
+{
+    serial::Writer w;
+    w.u32(magic);
+    w.u32(kResultCacheVersion);
+    w.str(key);
+    body(w);
+
+    std::error_code ec;
+    fs::create_directories(path.parent_path(), ec);
+    if (ec)
+        return false;
+    // Temp names carry the pid so concurrent sweeps in separate
+    // processes can race on one key; rename makes the winner atomic.
+    const fs::path tmp =
+        path.parent_path() /
+        (key.substr(2) + ".tmp" + std::to_string(::getpid()) + "." +
+         std::to_string(g_tmpSeq.fetch_add(1)));
+    {
+        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+        if (!out ||
+            !out.write(
+                reinterpret_cast<const char *>(w.buffer().data()),
+                static_cast<std::streamsize>(w.buffer().size()))) {
+            fs::remove(tmp, ec);
+            return false;
+        }
+    }
+    fs::rename(tmp, path, ec);
+    if (ec) {
+        fs::remove(tmp, ec);
+        return false;
+    }
+    return true;
 }
 
 } // namespace
@@ -343,30 +321,23 @@ resultCacheLookup(const std::string &key, SimOutcome &out)
         return false;
     }
 
-    std::error_code ec;
-    const fs::path path = entryPath(dir, key);
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
+    switch (readEntry(entryPath(dir, key, ".ffr"), kCacheMagic, key,
+                      [&out](serial::Reader &r) {
+                          return decodeOutcome(r, out);
+                      })) {
+      case EntryRead::kAbsent:
         ++g_misses;
         engine::traceInstant("cache-miss");
         ff_trace(trace::kEngine, 0, "CACHE", "miss " << key);
         return false;
-    }
-    const std::vector<std::uint8_t> bytes(
-        (std::istreambuf_iterator<char>(in)),
-        std::istreambuf_iterator<char>());
-
-    serial::Reader r(bytes);
-    if (r.u32() != kCacheMagic || r.u32() != kResultCacheVersion ||
-        r.str() != key || !decodeOutcome(r, out) || !r.atEnd()) {
-        // Corrupt or stale: drop the entry so the refreshed store
-        // below it replaces a known-bad file, then report a miss.
-        fs::remove(path, ec);
+      case EntryRead::kCorrupt:
         ++g_errors;
         ++g_misses;
         engine::traceInstant("cache-miss");
         ff_trace(trace::kEngine, 0, "CACHE", "corrupt " << key);
         return false;
+      case EntryRead::kOk:
+        break;
     }
     ++g_hits;
     engine::traceInstant("cache-hit");
@@ -386,40 +357,11 @@ resultCacheStore(const std::string &key, const SimOutcome &outcome)
     if (outcome.metrics != nullptr)
         return false;
 
-    serial::Writer w;
-    w.u32(kCacheMagic);
-    w.u32(kResultCacheVersion);
-    w.str(key);
-    encodeOutcome(w, outcome);
-
-    std::error_code ec;
-    const fs::path path = entryPath(dir, key);
-    fs::create_directories(path.parent_path(), ec);
-    if (ec) {
+    if (!writeEntry(entryPath(dir, key, ".ffr"), kCacheMagic, key,
+                    [&outcome](serial::Writer &w) {
+                        encodeOutcome(w, outcome);
+                    })) {
         ++g_errors;
-        return false;
-    }
-    // Temp names carry the pid so concurrent sweeps in separate
-    // processes can race on one key; rename makes the winner atomic.
-    const fs::path tmp =
-        path.parent_path() /
-        (key.substr(2) + ".tmp" + std::to_string(::getpid()) + "." +
-         std::to_string(g_tmpSeq.fetch_add(1)));
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out ||
-            !out.write(
-                reinterpret_cast<const char *>(w.buffer().data()),
-                static_cast<std::streamsize>(w.buffer().size()))) {
-            ++g_errors;
-            fs::remove(tmp, ec);
-            return false;
-        }
-    }
-    fs::rename(tmp, path, ec);
-    if (ec) {
-        ++g_errors;
-        fs::remove(tmp, ec);
         return false;
     }
     ++g_stores;
@@ -453,23 +395,17 @@ verifyCacheLookup(const std::string &key)
         return false;
     }
 
-    std::error_code ec;
-    const fs::path path = verifyEntryPath(dir, key);
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
+    switch (readEntry(entryPath(dir, key, ".ffv"), kVerifyMagic, key,
+                      [](serial::Reader &) { return true; })) {
+      case EntryRead::kAbsent:
         ++g_vMisses;
         return false;
-    }
-    const std::vector<std::uint8_t> bytes(
-        (std::istreambuf_iterator<char>(in)),
-        std::istreambuf_iterator<char>());
-    serial::Reader r(bytes);
-    if (r.u32() != kVerifyMagic || r.u32() != kResultCacheVersion ||
-        r.str() != key || !r.atEnd()) {
-        fs::remove(path, ec);
+      case EntryRead::kCorrupt:
         ++g_vErrors;
         ++g_vMisses;
         return false;
+      case EntryRead::kOk:
+        break;
     }
     ++g_vHits;
     return true;
@@ -482,37 +418,9 @@ verifyCacheStore(const std::string &key)
     if (dir.empty())
         return false;
 
-    serial::Writer w;
-    w.u32(kVerifyMagic);
-    w.u32(kResultCacheVersion);
-    w.str(key);
-
-    std::error_code ec;
-    const fs::path path = verifyEntryPath(dir, key);
-    fs::create_directories(path.parent_path(), ec);
-    if (ec) {
+    if (!writeEntry(entryPath(dir, key, ".ffv"), kVerifyMagic, key,
+                    [](serial::Writer &) {})) {
         ++g_vErrors;
-        return false;
-    }
-    const fs::path tmp =
-        path.parent_path() /
-        (key.substr(2) + ".tmp" + std::to_string(::getpid()) + "." +
-         std::to_string(g_tmpSeq.fetch_add(1)));
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out ||
-            !out.write(
-                reinterpret_cast<const char *>(w.buffer().data()),
-                static_cast<std::streamsize>(w.buffer().size()))) {
-            ++g_vErrors;
-            fs::remove(tmp, ec);
-            return false;
-        }
-    }
-    fs::rename(tmp, path, ec);
-    if (ec) {
-        ++g_vErrors;
-        fs::remove(tmp, ec);
         return false;
     }
     ++g_vStores;

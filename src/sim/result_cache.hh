@@ -39,9 +39,10 @@ namespace sim
  * entry header. Bump whenever the SimOutcome encoding or the key
  * recipe changes; old entries then age out as unreachable keys.
  * v2: sampling parameters joined the key and entries grew an
- * optional SampledEstimate tail.
+ * optional SampledEstimate tail. v3: the stats structs reuse the
+ * snapshot encoders, so access stats interleave counts and cycles.
  */
-inline constexpr std::uint32_t kResultCacheVersion = 2;
+inline constexpr std::uint32_t kResultCacheVersion = 3;
 
 /** Lifetime counters, for benches and the cache tests. */
 struct ResultCacheStats

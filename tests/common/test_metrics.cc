@@ -1,10 +1,11 @@
 /**
  * @file
  * Unit tests of the metrics primitives: JSON writer syntax and
- * escaping, histogram binning/mean/quantile, time-series epoch
- * folding, and registry idempotence. The export path (schema
- * conformance of whole documents) is covered by the bench-smoke
- * gate; these pin the building blocks it rests on.
+ * escaping, counters, histogram binning/mean/quantile/snapshot
+ * encoding, time-series epoch folding, registry idempotence, and the
+ * field-table helpers behind every statsReport(). The export path
+ * (schema conformance of whole documents) is covered by the
+ * bench-smoke gate; these pin the building blocks it rests on.
  */
 
 #include <gtest/gtest.h>
@@ -13,11 +14,13 @@
 #include <sstream>
 
 #include "common/metrics.hh"
+#include "common/stat_fields.hh"
 
 namespace
 {
 
 using namespace ff;
+using metrics::Counter;
 using metrics::Histogram;
 using metrics::JsonWriter;
 using metrics::Registry;
@@ -88,6 +91,128 @@ TEST(Histogram, BinsMeanAndQuantiles)
     EXPECT_LE(h.quantile(0.5), 5);
 }
 
+TEST(Histogram, BucketsInRange)
+{
+    Histogram h(0, 10, 5); // buckets of width 2
+    h.sample(0);
+    h.sample(1);
+    h.sample(9);
+    EXPECT_EQ(h.buckets()[0], 2u);
+    EXPECT_EQ(h.buckets()[4], 1u);
+    EXPECT_EQ(h.samples(), 3u);
+}
+
+TEST(Histogram, UnderflowAndOverflow)
+{
+    Histogram h(0, 10, 5);
+    h.sample(-1);
+    h.sample(10); // max is exclusive
+    h.sample(100);
+    EXPECT_EQ(h.underflow(), 1u);
+    EXPECT_EQ(h.overflow(), 2u);
+    EXPECT_EQ(h.samples(), 3u);
+}
+
+TEST(Histogram, NegativeRange)
+{
+    Histogram h(-8, 8, 4);
+    h.sample(-8);
+    h.sample(-1);
+    h.sample(7);
+    EXPECT_EQ(h.buckets()[0], 1u);
+    EXPECT_EQ(h.buckets()[1], 1u);
+    EXPECT_EQ(h.buckets()[3], 1u);
+    EXPECT_EQ(h.underflow() + h.overflow(), 0u);
+}
+
+TEST(Histogram, MeanIncludesOutOfRange)
+{
+    Histogram h(0, 10, 2);
+    h.sample(2);
+    h.sample(100);
+    EXPECT_DOUBLE_EQ(h.mean(), 51.0);
+}
+
+TEST(Histogram, Reset)
+{
+    Histogram h(0, 4, 2);
+    h.sample(1);
+    h.sample(-5);
+    h.reset();
+    EXPECT_EQ(h.samples(), 0u);
+    EXPECT_EQ(h.underflow(), 0u);
+    EXPECT_EQ(h.buckets()[0], 0u);
+    EXPECT_DOUBLE_EQ(h.mean(), 0.0);
+}
+
+TEST(Histogram, SaveRestoreRoundTrip)
+{
+    Histogram h(-4, 12, 4);
+    for (int v : {-9, -4, 0, 3, 11, 12, 40})
+        h.sample(v);
+    serial::Writer w;
+    h.save(w);
+
+    Histogram back(-4, 12, 4);
+    back.sample(5); // overwritten by restore()
+    serial::Reader r(w.buffer());
+    back.restore(r);
+    ASSERT_TRUE(r.ok());
+    EXPECT_TRUE(r.atEnd());
+    EXPECT_EQ(back.buckets(), h.buckets());
+    EXPECT_EQ(back.samples(), h.samples());
+    EXPECT_EQ(back.underflow(), h.underflow());
+    EXPECT_EQ(back.overflow(), h.overflow());
+    EXPECT_DOUBLE_EQ(back.mean(), h.mean());
+
+    // Re-encoding the restored copy gives the same bytes.
+    serial::Writer again;
+    back.save(again);
+    EXPECT_EQ(again.buffer(), w.buffer());
+}
+
+TEST(Histogram, RestoreRejectsMismatchedGeometry)
+{
+    Histogram h(0, 16, 4);
+    h.sample(3);
+    serial::Writer w;
+    h.save(w);
+    for (Histogram other : {Histogram(1, 16, 4), Histogram(0, 17, 4),
+                            Histogram(0, 16, 8)}) {
+        serial::Reader r(w.buffer());
+        other.restore(r);
+        EXPECT_FALSE(r.ok());
+        EXPECT_EQ(other.samples(), 0u);
+    }
+}
+
+TEST(HistogramDeathTest, BadRangePanics)
+{
+    EXPECT_DEATH(Histogram(5, 5, 1), "bad histogram range");
+}
+
+TEST(Counter, StartsAtZero)
+{
+    Counter c;
+    EXPECT_EQ(c.value(), 0u);
+}
+
+TEST(Counter, IncrementAndAdd)
+{
+    Counter c;
+    ++c;
+    c += 41;
+    EXPECT_EQ(c.value(), 42u);
+}
+
+TEST(Counter, Reset)
+{
+    Counter c;
+    c += 7;
+    c.reset();
+    EXPECT_EQ(c.value(), 0u);
+}
+
 TEST(TimeSeries, FoldsSamplesIntoEpochMeans)
 {
     TimeSeries s(100);
@@ -139,6 +264,56 @@ TEST(Registry, ToJsonEmitsTheThreeKindMaps)
     EXPECT_NE(doc.find("\"s\":{\"epochCycles\":10,\"points\":[2]"),
               std::string::npos)
         << doc;
+}
+
+/** A counter struct with its field table, as the simulator's are. */
+struct ToyStats
+{
+    std::uint64_t zeta = 0;
+    std::uint64_t hidden = 0;
+    std::uint64_t alpha = 0;
+};
+
+template <StatsOf<ToyStats> S, typename F>
+void
+forEachStat(S &s, F &&f)
+{
+    f("zeta", s.zeta);
+    f("", s.hidden);
+    f("alpha", s.alpha);
+}
+
+TEST(StatFields, RenderSortsByNameAndSkipsUnnamedFields)
+{
+    ToyStats s;
+    s.zeta = 3;
+    s.hidden = 9;
+    s.alpha = 5;
+    EXPECT_EQ(renderStats("toy", s), "toy.alpha 5\ntoy.zeta 3\n");
+    EXPECT_EQ(renderStatLines("g", {{"b", 2}, {"a.x", 1}, {"a", 0}}),
+              "g.a 0\ng.a.x 1\ng.b 2\n");
+}
+
+TEST(StatFields, SaveRestoreWalksEveryFieldInTableOrder)
+{
+    ToyStats s;
+    s.zeta = 1;
+    s.hidden = 2;
+    s.alpha = 3;
+    serial::Writer w;
+    saveStats(w, s);
+    serial::Reader r(w.buffer());
+    EXPECT_EQ(r.u64(), 1u);
+    EXPECT_EQ(r.u64(), 2u);
+    EXPECT_EQ(r.u64(), 3u);
+
+    ToyStats back;
+    serial::Reader again(w.buffer());
+    restoreStats(again, back);
+    EXPECT_TRUE(again.ok() && again.atEnd());
+    EXPECT_EQ(back.zeta, 1u);
+    EXPECT_EQ(back.hidden, 2u);
+    EXPECT_EQ(back.alpha, 3u);
 }
 
 } // namespace

@@ -131,6 +131,25 @@ TEST(ThreadPool, DestructorCompletesPendingWork)
     EXPECT_EQ(ran.load(), 32u);
 }
 
+// Regression for a lost wakeup: submit() once published work without
+// holding the sleep lock, so a worker that had just found its queue
+// empty could block past the notify and hang parallelFor() forever.
+// A single worker racing the caller hits that window within a few
+// thousand rounds. TSan cannot see a lost wakeup, so the ctest
+// TIMEOUT on this test (tests/CMakeLists.txt) is the detector.
+TEST(ThreadPool, StressParallelForNeverLosesAWakeup)
+{
+    ThreadPool pool(1);
+    std::atomic<std::uint64_t> sum{0};
+    constexpr unsigned kRounds = 50000;
+    for (unsigned round = 0; round < kRounds; ++round) {
+        pool.parallelFor(256, [&](std::size_t i) {
+            sum.fetch_add(i, std::memory_order_relaxed);
+        });
+    }
+    EXPECT_EQ(sum.load(), std::uint64_t(kRounds) * (255 * 256 / 2));
+}
+
 TEST(ThreadPool, DefaultJobCountIsPositive)
 {
     EXPECT_GE(defaultJobCount(), 1u);

@@ -14,12 +14,14 @@
 
 #include "sim/batch.hh"
 #include "sim/harness.hh"
+#include "support/same_outcome.hh"
 #include "workloads/workload.hh"
 
 namespace
 {
 
 using namespace ff;
+using testsupport::expectSameOutcomes;
 
 constexpr int kScale = 6;
 
@@ -40,26 +42,6 @@ suiteJobs(const std::vector<workloads::Workload> &suite)
     return jobs;
 }
 
-void
-expectIdentical(const std::vector<sim::SimOutcome> &a,
-                const std::vector<sim::SimOutcome> &b,
-                const std::string &label)
-{
-    ASSERT_EQ(a.size(), b.size()) << label;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        SCOPED_TRACE(label + ", outcome " + std::to_string(i));
-        EXPECT_EQ(a[i].kind, b[i].kind);
-        EXPECT_EQ(a[i].run.cycles, b[i].run.cycles);
-        EXPECT_EQ(a[i].run.instsRetired, b[i].run.instsRetired);
-        EXPECT_EQ(a[i].regFingerprint, b[i].regFingerprint);
-        EXPECT_EQ(a[i].memFingerprint, b[i].memFingerprint);
-        EXPECT_EQ(a[i].checksum, b[i].checksum);
-        EXPECT_EQ(a[i].twopass.deferred, b[i].twopass.deferred);
-        EXPECT_EQ(a[i].twopass.dispatched, b[i].twopass.dispatched);
-        EXPECT_EQ(a[i].branches.mispredicts, b[i].branches.mispredicts);
-    }
-}
-
 TEST(Batch, EmptyBatchReturnsEmpty)
 {
     EXPECT_TRUE(sim::runBatch({}).empty());
@@ -78,8 +60,8 @@ TEST(Batch, DeterministicAcrossJobCountsAndRepeats)
     const auto serial = sim::runBatch(jobs, 1);
     const auto par = sim::runBatch(jobs, 4);
     const auto par2 = sim::runBatch(jobs, 4);
-    expectIdentical(serial, par, "jobs=1 vs jobs=4");
-    expectIdentical(par, par2, "jobs=4 repeat");
+    expectSameOutcomes(serial, par, "jobs=1 vs jobs=4");
+    expectSameOutcomes(par, par2, "jobs=4 repeat");
 }
 
 TEST(Batch, OutcomesArriveInSubmissionOrder)
@@ -223,7 +205,7 @@ TEST(Batch, MetricsRecordsArePerJobAndResultsUnchanged)
 
     const auto serial = sim::runBatch(plain, 1);
     const auto par = sim::runBatch(metered, 4);
-    expectIdentical(serial, par, "unmetered jobs=1 vs metered jobs=4");
+    expectSameOutcomes(serial, par, "unmetered jobs=1 vs metered jobs=4");
 
     for (std::size_t i = 0; i < par.size(); ++i) {
         ASSERT_NE(par[i].metrics, nullptr) << "slot " << i;

@@ -17,12 +17,14 @@
 #include "sim/batch.hh"
 #include "sim/harness.hh"
 #include "sim/result_cache.hh"
+#include "support/same_outcome.hh"
 #include "workloads/workload.hh"
 
 namespace
 {
 
 using namespace ff;
+using testsupport::expectSameOutcome;
 namespace fs = std::filesystem;
 
 constexpr int kScale = 6;
@@ -80,29 +82,6 @@ class ResultCacheTest : public ::testing::Test
 
     fs::path _dir;
 };
-
-void
-expectSameOutcome(const sim::SimOutcome &a, const sim::SimOutcome &b)
-{
-    EXPECT_EQ(a.kind, b.kind);
-    EXPECT_EQ(a.run.halted, b.run.halted);
-    EXPECT_EQ(a.run.cycles, b.run.cycles);
-    EXPECT_EQ(a.run.instsRetired, b.run.instsRetired);
-    EXPECT_EQ(a.run.groupsRetired, b.run.groupsRetired);
-    EXPECT_EQ(a.cycles.counts, b.cycles.counts);
-    EXPECT_EQ(a.accesses.counts, b.accesses.counts);
-    EXPECT_EQ(a.accesses.weightedCycles, b.accesses.weightedCycles);
-    EXPECT_EQ(a.branches.lookups, b.branches.lookups);
-    EXPECT_EQ(a.branches.mispredicts, b.branches.mispredicts);
-    EXPECT_EQ(a.twopass.dispatched, b.twopass.dispatched);
-    EXPECT_EQ(a.twopass.deferred, b.twopass.deferred);
-    EXPECT_EQ(a.twopass.deferredByReason, b.twopass.deferredByReason);
-    EXPECT_EQ(a.alat.allocations, b.alat.allocations);
-    EXPECT_EQ(a.runahead.episodes, b.runahead.episodes);
-    EXPECT_EQ(a.regFingerprint, b.regFingerprint);
-    EXPECT_EQ(a.memFingerprint, b.memFingerprint);
-    EXPECT_EQ(a.checksum, b.checksum);
-}
 
 TEST_F(ResultCacheTest, KeySeparatesEveryInput)
 {

@@ -20,12 +20,14 @@
 #include "sim/batch.hh"
 #include "sim/harness.hh"
 #include "sim/snapshot.hh"
+#include "support/same_outcome.hh"
 #include "workloads/workload.hh"
 
 namespace
 {
 
 using namespace ff;
+using testsupport::expectSameOutcomes;
 
 constexpr int kScale = 6;
 
@@ -336,29 +338,6 @@ TEST(Snapshot, WarmupThenResumeMatchesCold)
     }
 }
 
-void
-expectIdentical(const std::vector<sim::SimOutcome> &a,
-                const std::vector<sim::SimOutcome> &b,
-                const std::string &label)
-{
-    ASSERT_EQ(a.size(), b.size()) << label;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        SCOPED_TRACE(label + ", outcome " + std::to_string(i));
-        EXPECT_EQ(a[i].kind, b[i].kind);
-        EXPECT_EQ(a[i].run.cycles, b[i].run.cycles);
-        EXPECT_EQ(a[i].run.instsRetired, b[i].run.instsRetired);
-        EXPECT_EQ(a[i].regFingerprint, b[i].regFingerprint);
-        EXPECT_EQ(a[i].memFingerprint, b[i].memFingerprint);
-        EXPECT_EQ(a[i].checksum, b[i].checksum);
-        EXPECT_EQ(a[i].cycles.counts, b[i].cycles.counts);
-        EXPECT_EQ(a[i].twopass.deferred, b[i].twopass.deferred);
-        EXPECT_EQ(a[i].twopass.dispatched, b[i].twopass.dispatched);
-        EXPECT_EQ(a[i].branches.mispredicts,
-                  b[i].branches.mispredicts);
-        EXPECT_EQ(a[i].runahead.episodes, b[i].runahead.episodes);
-    }
-}
-
 TEST(Snapshot, ForkedSweepBitIdenticalToColdAtAnyJobCount)
 {
     cpu::CoreConfig nofb = sim::table1Config();
@@ -378,11 +357,11 @@ TEST(Snapshot, ForkedSweepBitIdenticalToColdAtAnyJobCount)
     opts.warmupCycles = 1800;
     opts.threads = 1;
     const auto forked1 = sim::runSweep(suite(), variants, opts);
-    expectIdentical(cold, forked1, "cold vs forked jobs=1");
+    expectSameOutcomes(cold, forked1, "cold vs forked jobs=1");
 
     opts.threads = 4;
     const auto forked4 = sim::runSweep(suite(), variants, opts);
-    expectIdentical(cold, forked4, "cold vs forked jobs=4");
+    expectSameOutcomes(cold, forked4, "cold vs forked jobs=4");
 }
 
 TEST(SnapshotDeathTest, ResumeBudgetAtOrBelowWarmupPointIsFatal)
@@ -462,7 +441,7 @@ TEST(Snapshot, ForkedSweepZeroWarmupFallsBackToPlainBatch)
     opts.threads = 2;
     const auto plain = sim::runSweep(suite(), variants, 2);
     const auto viaOpts = sim::runSweep(suite(), variants, opts);
-    expectIdentical(plain, viaOpts, "threads-arg vs options-arg");
+    expectSameOutcomes(plain, viaOpts, "threads-arg vs options-arg");
 }
 
 } // namespace
