@@ -187,10 +187,16 @@ class Reader
         return v;
     }
 
-    /** Reads @p n raw bytes into @p p; zero-fills on failure. */
+    /**
+     * Reads @p n raw bytes into @p p; zero-fills on failure. A
+     * zero-length read touches nothing, so @p p (or the source) may
+     * be null then, as for an empty container's data().
+     */
     void
     bytes(void *p, std::size_t n)
     {
+        if (n == 0)
+            return;
         if (!take(n)) {
             std::memset(p, 0, n);
             return;

@@ -15,7 +15,7 @@
  * since the last episode instead of the whole file.
  *
  * This is the comparison point against which two-pass pipelining's
- * retention of pre-executed work is evaluated (bench_runahead).
+ * retention of pre-executed work is evaluated (`bench_ablate runahead`).
  */
 
 #ifndef FF_CPU_RUNAHEAD_RUNAHEAD_CPU_HH
