@@ -2,16 +2,20 @@
  * @file
  * google-benchmark microbenchmarks of the simulator's building
  * blocks: cache tag probes, ALAT traffic, store-buffer forwarding,
- * the list scheduler, and whole-machine simulation rates. These
- * guard the simulator's own performance (cycles simulated per
- * second), which bounds how large an input the experiments can use.
+ * the list scheduler, content hashing, and whole-machine simulation
+ * rates. These guard the simulator's own performance (cycles
+ * simulated per second), which bounds how large an input the
+ * experiments can use.
  */
 
 #include <atomic>
+#include <cstdint>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
 #include "branch/gshare.hh"
+#include "common/hash.hh"
 #include "common/thread_pool.hh"
 #include "compiler/scheduler.hh"
 #include "cpu/core/model_factory.hh"
@@ -21,6 +25,8 @@
 #include "memory/hierarchy.hh"
 #include "memory/store_buffer.hh"
 #include "sim/batch.hh"
+#include "sim/harness.hh"
+#include "sim/result_cache.hh"
 #include "workloads/workload.hh"
 
 using namespace ff;
@@ -108,6 +114,49 @@ BM_ScheduleMcf(benchmark::State &state)
     }
 }
 BENCHMARK(BM_ScheduleMcf)->Unit(benchmark::kMillisecond);
+
+/** SHA-256 over 4 MiB, the size of the largest workload data image;
+ *  runs whichever compression kernel this CPU selects. */
+void
+BM_Sha256(benchmark::State &state)
+{
+    std::vector<std::uint8_t> buf(4u << 20);
+    for (std::size_t i = 0; i < buf.size(); ++i)
+        buf[i] = static_cast<std::uint8_t>(i * 131 + 7);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(Sha256::hex(buf.data(), buf.size()));
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(buf.size()));
+}
+BENCHMARK(BM_Sha256)->Unit(benchmark::kMillisecond);
+
+/**
+ * One result-cache key for 181.mcf at scale 100 (a 4 MiB data image).
+ * memo:1 keeps the program's content-hash memo warm, as in a sweep
+ * that keys several cells of one program; memo:0 drops it before each
+ * key (rewriting one byte with its own value), so every key hashes
+ * the whole image again.
+ */
+void
+BM_ResultCacheKey(benchmark::State &state)
+{
+    workloads::Workload w = workloads::buildWorkload("181.mcf", 100);
+    const cpu::CoreConfig cfg = sim::table1Config();
+    const Addr addr = w.program.dataImage().pages().begin()->first;
+    const std::uint8_t same = w.program.dataImage().read(addr);
+    for (auto _ : state) {
+        if (state.range(0) == 0)
+            w.program.pokeBytes(addr, &same, 1);
+        benchmark::DoNotOptimize(
+            sim::resultCacheKey(w.program, sim::CpuKind::kTwoPass, cfg,
+                                sim::kDefaultMaxCycles));
+    }
+}
+BENCHMARK(BM_ResultCacheKey)
+    ->ArgName("memo")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
 
 /** Whole-machine simulation rate, reported as cycles/second. */
 void

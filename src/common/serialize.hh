@@ -51,28 +51,13 @@ class Writer
     void u8(std::uint8_t v) { _buf.push_back(v); }
 
     /** Appends @p v as two little-endian bytes. */
-    void
-    u16(std::uint16_t v)
-    {
-        u8(static_cast<std::uint8_t>(v));
-        u8(static_cast<std::uint8_t>(v >> 8));
-    }
+    void u16(std::uint16_t v) { le(v); }
 
     /** Appends @p v as four little-endian bytes. */
-    void
-    u32(std::uint32_t v)
-    {
-        u16(static_cast<std::uint16_t>(v));
-        u16(static_cast<std::uint16_t>(v >> 16));
-    }
+    void u32(std::uint32_t v) { le(v); }
 
     /** Appends @p v as eight little-endian bytes. */
-    void
-    u64(std::uint64_t v)
-    {
-        u32(static_cast<std::uint32_t>(v));
-        u32(static_cast<std::uint32_t>(v >> 32));
-    }
+    void u64(std::uint64_t v) { le(v); }
 
     /** Appends @p v two's-complement, as u64(). */
     void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
@@ -94,8 +79,11 @@ class Writer
     void
     bytes(const void *p, std::size_t n)
     {
-        const auto *b = static_cast<const std::uint8_t *>(p);
-        _buf.insert(_buf.end(), b, b + n);
+        if (n == 0)
+            return;
+        const std::size_t at = _buf.size();
+        _buf.resize(at + n);
+        std::memcpy(_buf.data() + at, p, n);
     }
 
     /** Appends a u64 length followed by the string bytes. */
@@ -109,6 +97,10 @@ class Writer
     /** Marks the start of a section; Reader::section() checks it. */
     void section(std::uint32_t t) { u32(t); }
 
+    /** Makes room for @p n more bytes, so a writer whose final size
+     *  is known grows its buffer once. */
+    void reserve(std::size_t n) { _buf.reserve(_buf.size() + n); }
+
     /** The bytes written so far. */
     const std::vector<std::uint8_t> &buffer() const { return _buf; }
 
@@ -116,6 +108,18 @@ class Writer
     std::vector<std::uint8_t> take() { return std::move(_buf); }
 
   private:
+    /** Stages the bytes of @p v least significant first and appends
+     *  them in one go (one capacity check, not one per byte). */
+    template <typename T>
+    void
+    le(T v)
+    {
+        std::uint8_t b[sizeof(T)];
+        for (std::size_t i = 0; i < sizeof(T); ++i)
+            b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+        bytes(b, sizeof(b));
+    }
+
     std::vector<std::uint8_t> _buf;
 };
 

@@ -1,7 +1,5 @@
 #include "cpu/baseline/baseline_cpu.hh"
 
-#include <vector>
-
 #include "common/trace.hh"
 #include "cpu/exec.hh"
 #include "cpu/issue_check.hh"
@@ -43,25 +41,11 @@ BaselineCpu::tryIssue(Cycle now, RunResult &res)
     const FetchedGroup group = g;
     _fe.pop();
 
-    struct SlotOperands
-    {
-        bool qpred;
-        RegVal s1;
-        RegVal s2;
-    };
-    std::vector<SlotOperands> ops(end - leader);
-    for (InstIdx i = leader; i < end; ++i) {
-        const Instruction &in = _prog.inst(i);
-        SlotOperands &o = ops[i - leader];
-        o.qpred = _ms.regs.readPred(in.qpred);
-        o.s1 = in.src1.valid() ? _ms.regs.read(in.src1) : 0;
-        o.s2 = operandSrc2(
-            in, in.src2.valid() ? _ms.regs.read(in.src2) : 0);
-    }
+    readGroupOperands(_prog, leader, end, _ms.regs, _ops);
 
     for (InstIdx i = leader; i < end; ++i) {
         const Instruction &in = _prog.inst(i);
-        const SlotOperands &o = ops[i - leader];
+        const SlotOperands &o = _ops[i - leader];
         ++res.instsRetired;
 
         if (in.isHalt()) {

@@ -11,8 +11,11 @@
 #ifndef FF_CPU_BASELINE_BASELINE_CPU_HH
 #define FF_CPU_BASELINE_BASELINE_CPU_HH
 
+#include <vector>
+
 #include "common/stat_fields.hh"
 #include "cpu/core/core_base.hh"
+#include "cpu/exec.hh"
 #include "cpu/scoreboard.hh"
 
 namespace ff
@@ -77,6 +80,9 @@ class BaselineCpu : public CoreBase
     CycleClass tryIssue(Cycle now, RunResult &res);
 
     BaselineStats _stats;
+    /** Operands of the issuing group, reused so issue never
+     *  allocates. Scratch, not machine state. */
+    std::vector<SlotOperands> _ops;
 };
 
 } // namespace cpu

@@ -3,16 +3,20 @@
  * Pure functional evaluation of one ffvm instruction given its
  * operand values. Every execution engine (functional reference,
  * baseline pipe, A-pipe, B-pipe, run-ahead) funnels through this so
- * instruction semantics exist in exactly one place.
+ * instruction semantics exist in exactly one place; the in-order
+ * engines also share its group operand read.
  */
 
 #ifndef FF_CPU_EXEC_HH
 #define FF_CPU_EXEC_HH
 
 #include <cstdint>
+#include <vector>
 
 #include "common/types.hh"
+#include "cpu/regfile.hh"
 #include "isa/instruction.hh"
+#include "isa/program.hh"
 
 namespace ff
 {
@@ -55,6 +59,36 @@ inline RegVal
 operandSrc2(const isa::Instruction &in, RegVal reg_val)
 {
     return in.src2IsImm ? static_cast<RegVal>(in.imm) : reg_val;
+}
+
+/** Operand values of one slot, as evaluate() takes them. */
+struct SlotOperands
+{
+    bool qpred = false;
+    RegVal s1 = 0;
+    RegVal s2 = 0;
+};
+
+/**
+ * Reads the operands of every slot of the issue group [@p leader,
+ * @p end) from @p regs into @p ops (slot i at ops[i - leader]) before
+ * any slot writes: EPIC group semantics. @p ops is a caller-owned
+ * buffer reused across groups, so the per-group path never allocates.
+ * Inline: it runs once per issued group in every model's hot loop.
+ */
+inline void
+readGroupOperands(const isa::Program &prog, InstIdx leader, InstIdx end,
+                  const RegFile &regs, std::vector<SlotOperands> &ops)
+{
+    ops.resize(end - leader);
+    for (InstIdx i = leader; i < end; ++i) {
+        const isa::Instruction &in = prog.inst(i);
+        SlotOperands &o = ops[i - leader];
+        o.qpred = regs.readPred(in.qpred);
+        o.s1 = in.src1.valid() ? regs.read(in.src1) : 0;
+        o.s2 = operandSrc2(in,
+                           in.src2.valid() ? regs.read(in.src2) : 0);
+    }
 }
 
 /** Applies a load's width/sign treatment to raw little-endian bytes. */

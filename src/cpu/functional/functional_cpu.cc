@@ -26,15 +26,7 @@ FunctionalCpu::run(std::uint64_t max_insts)
             _warm->recordFetch(isa::Program::instAddr(_pc));
 
         // Phase 1: snapshot all operand reads (pre-group state).
-        _ops.resize(end - _pc);
-        for (InstIdx i = _pc; i < end; ++i) {
-            const isa::Instruction &in = _prog.inst(i);
-            SlotOperands &o = _ops[i - _pc];
-            o.qpred = _regs.readPred(in.qpred);
-            o.s1 = in.src1.valid() ? _regs.read(in.src1) : 0;
-            o.s2 = operandSrc2(in, in.src2.valid() ? _regs.read(in.src2)
-                                                   : 0);
-        }
+        readGroupOperands(_prog, _pc, end, _regs, _ops);
 
         // Phase 2: evaluate and apply in slot order.
         InstIdx next_pc = end;

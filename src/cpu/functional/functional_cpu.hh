@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "cpu/core/functional_result.hh"
+#include "cpu/exec.hh"
 #include "cpu/regfile.hh"
 #include "cpu/warm_history.hh"
 #include "isa/program.hh"
@@ -67,14 +68,6 @@ class FunctionalCpu
     memory::SparseMemory &mem() { return _mem; }
 
   private:
-    /** Pre-group operand snapshot of one slot (phase 1 of a group). */
-    struct SlotOperands
-    {
-        bool qpred;
-        RegVal s1;
-        RegVal s2;
-    };
-
     const isa::Program &_prog;
     RegFile _regs;
     memory::SparseMemory _mem;

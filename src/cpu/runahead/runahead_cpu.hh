@@ -22,8 +22,10 @@
 #define FF_CPU_RUNAHEAD_RUNAHEAD_CPU_HH
 
 #include <map>
+#include <vector>
 
 #include "cpu/core/core_base.hh"
+#include "cpu/exec.hh"
 #include "cpu/scoreboard.hh"
 
 namespace ff
@@ -78,6 +80,9 @@ class RunaheadCpu : public CoreBase
     void runaheadStep(Cycle now);
 
     RunaheadStats _raStats;
+    /** Operands of the issuing group, reused so issue never
+     *  allocates. Scratch, not machine state. */
+    std::vector<SlotOperands> _ops;
 
     // ---- run-ahead mode state ---------------------------------------
     bool _inRunahead = false;

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <sstream>
 
+#include "common/hash.hh"
 #include "common/logging.hh"
 
 namespace ff
@@ -109,10 +110,45 @@ DataImage::read(Addr addr) const
     return it == _pages.end() ? 0 : it->second[addr % kPageBytes];
 }
 
+namespace
+{
+
+void
+updateLe64(Sha256 &h, std::uint64_t v)
+{
+    std::uint8_t le[8];
+    for (unsigned i = 0; i < 8; ++i)
+        le[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    h.update(le, sizeof(le));
+}
+
+} // namespace
+
+std::uint64_t
+Program::contentHash() const
+{
+    std::uint64_t v = _contentHash.value.load(std::memory_order_relaxed);
+    if (v != 0)
+        return v;
+    // Streamed field by field, with no staging copy of the image
+    // (std::map iterates pages in address order — deterministic).
+    Sha256 h;
+    updateLe64(h, _instHash);
+    for (const auto &[base, bytes] : _data.pages()) {
+        updateLe64(h, base);
+        updateLe64(h, bytes.size());
+        h.update(bytes.data(), bytes.size());
+    }
+    v = h.digest64();
+    _contentHash.value.store(v, std::memory_order_relaxed);
+    return v;
+}
+
 void
 Program::pokeBytes(Addr addr, const void *bytes, std::size_t len)
 {
     _data.write(addr, bytes, len);
+    _contentHash.value.store(0, std::memory_order_relaxed);
 }
 
 void

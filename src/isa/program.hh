@@ -8,9 +8,11 @@
 #ifndef FF_ISA_PROGRAM_HH
 #define FF_ISA_PROGRAM_HH
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "isa/instruction.hh"
@@ -121,6 +123,17 @@ class Program
      */
     std::uint64_t instStreamHash() const { return _instHash; }
 
+    /**
+     * Identity of the whole image, code and initial data: the first 8
+     * bytes (little-endian) of a SHA-256 over instStreamHash() as 8
+     * little-endian bytes, then base, size and bytes of every data
+     * page in address order (the same 8-byte little-endian fields).
+     * Snapshots, pipe traces and the result cache key on it.
+     * Computed on first use and memoized; pokeBytes() drops the memo
+     * and copies carry it. Safe to call from many threads at once.
+     */
+    std::uint64_t contentHash() const;
+
     /** Fetch-time byte address of instruction @p i. */
     static Addr instAddr(InstIdx i)
     {
@@ -155,6 +168,27 @@ class Program
     std::string validate(const GroupLimits &limits = GroupLimits()) const;
 
   private:
+    /**
+     * Memo of contentHash(), 0 while unknown (a digest that is 0 is
+     * simply never memoized). One atomic word, so racing first
+     * callers just store the same value; copies carry it. noexcept
+     * keeps Program's moves noexcept, so a growing vector of programs
+     * moves them instead of copying their data images.
+     */
+    struct HashMemo
+    {
+        HashMemo() = default;
+        HashMemo(const HashMemo &o) noexcept : value(o.value.load()) {}
+        HashMemo &
+        operator=(const HashMemo &o) noexcept
+        {
+            value.store(o.value.load());
+            return *this;
+        }
+
+        mutable std::atomic<std::uint64_t> value{0};
+    };
+
     void rebuildGroups();
 
     std::string _name;
@@ -163,7 +197,11 @@ class Program
     std::vector<InstIdx> _groupEnd;
     std::uint64_t _instHash = 0;
     DataImage _data;
+    HashMemo _contentHash;
 };
+
+static_assert(std::is_nothrow_move_constructible_v<Program> &&
+              std::is_nothrow_move_assignable_v<Program>);
 
 } // namespace isa
 } // namespace ff

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <deque>
-#include <map>
 #include <sstream>
 #include <unordered_map>
 
+#include "common/logging.hh"
 #include "common/metrics.hh"
 #include "common/serialize.hh"
 #include "isa/disasm.hh"
@@ -27,6 +27,28 @@ constexpr std::uint32_t kTextTag = serial::tag("TEXT");
 constexpr std::uint32_t kEventTag = serial::tag("EVNT");
 constexpr std::uint32_t kEngineTag = serial::tag("ENGS");
 
+/**
+ * The byte size encodePipeTrace() writes for @p t, so it allocates
+ * once: a traced run encodes tens of MB, and growing that by doubling
+ * copies it and leaves the old blocks to the allocator.
+ */
+std::size_t
+encodedSize(const PipeTrace &t)
+{
+    // Header; each section is a 4-byte tag and 8-byte counts.
+    std::size_t n = 4 + 4 + 1 + 8 + 8 + 8 + t.programName.size() + 8 + 8;
+    n += 4 + 8; // TEXT
+    for (const PipeTrace::InstText &row : t.text)
+        n += 4 + 8 + 8 + row.text.size();
+    n += 4 + 8 + t.events.size() * (8 + 8 + 4 + 1 + 1 + 2); // EVNT
+    n += 4 + 8 + 8 + 8 + t.engine.spans.size() * (4 + 4 + 8 + 8 + 1);
+    for (const std::string &s : t.engine.names)
+        n += 8 + s.size();
+    for (const std::string &s : t.engine.lanes)
+        n += 8 + s.size();
+    return n;
+}
+
 } // namespace
 
 PipeTrace
@@ -46,8 +68,9 @@ buildPipeTrace(const isa::Program &prog, const cpu::CoreConfig &cfg,
     t.events = std::move(events);
 
     // Text rows for every static index the events reference, in
-    // ascending order (std::map keeps it sorted).
-    std::map<InstIdx, bool> used;
+    // ascending order.
+    std::vector<char> used(prog.size(), 0);
+    std::size_t rows = 0;
     for (const cpu::PipeEvent &e : t.events) {
         switch (e.kind) {
           case cpu::PipeEventKind::kDispatch:
@@ -55,19 +78,23 @@ buildPipeTrace(const isa::Program &prog, const cpu::CoreConfig &cfg,
           case cpu::PipeEventKind::kReplay:
           case cpu::PipeEventKind::kFlush:
           case cpu::PipeEventKind::kRetire:
-            if (e.idx < prog.size())
-                used.emplace(e.idx, true);
+            if (e.idx < prog.size() && !used[e.idx]) {
+                used[e.idx] = 1;
+                ++rows;
+            }
             break;
           default:
             break;
         }
     }
-    t.text.reserve(used.size());
-    for (const auto &entry : used) {
+    t.text.reserve(rows);
+    for (InstIdx i = 0; i < prog.size(); ++i) {
+        if (!used[i])
+            continue;
         PipeTrace::InstText row;
-        row.idx = entry.first;
-        row.srcLine = prog.inst(entry.first).srcLine;
-        row.text = isa::disasm(prog.inst(entry.first));
+        row.idx = i;
+        row.srcLine = prog.inst(i).srcLine;
+        row.text = isa::disasm(prog.inst(i));
         t.text.push_back(std::move(row));
     }
     return t;
@@ -76,7 +103,9 @@ buildPipeTrace(const isa::Program &prog, const cpu::CoreConfig &cfg,
 std::vector<std::uint8_t>
 encodePipeTrace(const PipeTrace &t)
 {
+    const std::size_t size = encodedSize(t);
     serial::Writer w;
+    w.reserve(size);
     w.u32(kPipeTraceMagic);
     w.u32(kPipeTraceFormatVersion);
     w.u8(static_cast<std::uint8_t>(t.kind));
@@ -120,6 +149,8 @@ encodePipeTrace(const PipeTrace &t)
         w.u64(s.durUs);
         w.boolean(s.instant);
     }
+    ff_panic_if(w.buffer().size() != size,
+                "encodedSize() is out of step with the FFPT layout");
     return w.take();
 }
 

@@ -18,17 +18,6 @@ namespace
 /** Container magic: "FSNP" (flea-flicker snapshot). */
 constexpr std::uint32_t kSnapshotMagic = serial::tag("FSNP");
 
-/** First 8 digest bytes as a little-endian 64-bit guard hash. */
-std::uint64_t
-digest64(Sha256 &h)
-{
-    const std::array<std::uint8_t, 32> d = h.digest();
-    std::uint64_t v = 0;
-    for (unsigned i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(d[i]) << (8 * i);
-    return v;
-}
-
 } // namespace
 
 void
@@ -81,25 +70,13 @@ canonicalConfigHash(const cpu::CoreConfig &cfg)
     canonicalizeConfig(cfg, w);
     Sha256 h;
     h.update(w.buffer().data(), w.buffer().size());
-    return digest64(h);
+    return h.digest64();
 }
 
 std::uint64_t
 programContentHash(const isa::Program &prog)
 {
-    serial::Writer w;
-    w.u64(prog.instStreamHash());
-    // instStreamHash() covers code only; results also depend on the
-    // initial data image, so fold the pages in (std::map iterates in
-    // address order — deterministic).
-    for (const auto &[base, bytes] : prog.dataImage().pages()) {
-        w.u64(base);
-        w.u64(bytes.size());
-        w.bytes(bytes.data(), bytes.size());
-    }
-    Sha256 h;
-    h.update(w.buffer().data(), w.buffer().size());
-    return digest64(h);
+    return prog.contentHash();
 }
 
 Snapshot

@@ -60,7 +60,8 @@ std::uint64_t canonicalConfigHash(const cpu::CoreConfig &cfg);
 
 /**
  * Content hash of the full program image: the instruction stream
- * hash plus the initial data image. Program::instStreamHash() alone
+ * hash plus the initial data image (isa::Program::contentHash(),
+ * memoized on the program). Program::instStreamHash() alone
  * deliberately ignores data, but simulation results depend on it.
  */
 std::uint64_t programContentHash(const isa::Program &prog);
